@@ -88,6 +88,7 @@ class BenchSession
             jobs_ = exec::hardwareConcurrency();
         exec::setDefaultJobs(jobs_); // fatal on jobs < 1
         manifest_.jobs = jobs_;
+        manifest_.profilerClockNs = obs::clockReadCostNs();
         util::setLogContext(tool_);
         if (traceEnabled_)
             trace_.emplace();
@@ -363,6 +364,7 @@ class BenchSession
             if (std::string(existing.name) == stat.name) {
                 existing.wallNs += stat.wallNs;
                 existing.calls += stat.calls;
+                existing.timed += stat.timed;
                 return;
             }
         }

@@ -101,12 +101,14 @@ RunManifest::writeJson(std::ostream &os) const
     json.field("mode", engineMode);
     json.field("fast_forwarded_steps", engineFastForwardedSteps);
     json.field("speedup", fastForwardSpeedup());
+    json.field("profiler_clock_ns", profilerClockNs);
     json.key("phases").beginArray();
     for (const PhaseStat &phase : phases) {
         json.beginObject();
         json.field("name", phase.name);
         json.field("wall_ns", phase.wallNs);
         json.field("calls", phase.calls);
+        json.field("timed", phase.timed);
         json.endObject();
     }
     json.endArray();

@@ -160,8 +160,15 @@ struct RunManifest
      */
     [[nodiscard]] double fastForwardSpeedup() const;
 
-    /** Per-phase wall-clock breakdown (engine phases). */
+    /**
+     * Per-phase wall-clock breakdown (engine phases), closed by an
+     * `engine.unattributed` row so the rows sum to engineWallSeconds.
+     */
     std::vector<PhaseStat> phases;
+
+    /** Calibrated cost of one profiler clock read, subtracted from
+     *  every timed phase interval (obs::clockReadCostNs()). */
+    double profilerClockNs = 0.0;
 
     /** Named scalar counters (safety counters, harness totals). */
     std::vector<std::pair<std::string, double>> counters;

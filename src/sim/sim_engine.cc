@@ -33,11 +33,18 @@ enum EnginePhase : std::size_t {
     kPhaseCount,
 };
 
-const char *const kPhaseNames[kPhaseCount] = {
-    "engine.settle",    "engine.faults",          "engine.thermal_cadence",
-    "engine.pdn_advance", "engine.atm_loop",
-    "engine.violation_check", "engine.stats_sample",
+/** Phase names, and which phases run often enough to stride-sample
+ *  (the per-step phases and the stats cadence); the rare ones are
+ *  timed on every call. */
+const obs::PhaseDef kPhaseDefs[kPhaseCount] = {
+    {"engine.settle", false},         {"engine.faults", false},
+    {"engine.thermal_cadence", false}, {"engine.pdn_advance", true},
+    {"engine.atm_loop", true},        {"engine.violation_check", true},
+    {"engine.stats_sample", true},
 };
+
+/** Phase-breakdown row holding run wall minus the phase estimates. */
+constexpr const char *kUnattributedPhase = "engine.unattributed";
 
 /**
  * A core counts as drooping while its rail sits this far below its
@@ -133,7 +140,7 @@ class PhaseSpanFlusher
         if (!trace_)
             return;
         for (std::size_t p = 0; p < kPhaseCount; ++p)
-            tracks_[p] = trace_->track(kPhaseNames[p]);
+            tracks_[p] = trace_->track(kPhaseDefs[p].name);
     }
 
     void
@@ -143,13 +150,20 @@ class PhaseSpanFlusher
             return;
         const double now_us = trace_->nowUs();
         for (std::size_t p = 0; p < kPhaseCount; ++p) {
-            const double delta_ns =
-                profiler_.wallNsSince(p, lastWallNs_[p]);
-            if (delta_ns <= 0.0)
+            // Emit on call counts, not wall deltas: calls are
+            // deterministic, so the event sequence stays a pure
+            // function of the run even though a fresh sample can
+            // lower a sampled phase's estimate (its chunk is then
+            // zero-length).
+            const long calls = profiler_.calls(p);
+            if (calls == lastCalls_[p])
                 continue;
+            lastCalls_[p] = calls;
+            const double delta_ns = std::max(
+                0.0, profiler_.wallNsSince(p, lastWallNs_[p]));
             lastWallNs_[p] += delta_ns;
             const double dur_us = delta_ns * 1e-3;
-            trace_->complete(kPhaseNames[p], tracks_[p],
+            trace_->complete(kPhaseDefs[p].name, tracks_[p],
                              now_us - dur_us, dur_us, sim_ns);
         }
     }
@@ -159,18 +173,17 @@ class PhaseSpanFlusher
     const obs::PhaseProfiler &profiler_;
     int tracks_[kPhaseCount] = {};
     double lastWallNs_[kPhaseCount] = {};
+    long lastCalls_[kPhaseCount] = {};
 };
 
-// Profiler construction allocates its name table; carved out of the
+// Profiler construction allocates its phase table; carved out of the
 // contracted run bodies (guaranteed copy elision hands the instance
 // straight to the caller's local).
 // atmlint: contract(cold)
 obs::PhaseProfiler
 makeEngineProfiler(bool wants_wall_clock)
 {
-    return obs::PhaseProfiler(
-        std::vector<const char *>(kPhaseNames, kPhaseNames + kPhaseCount),
-        wants_wall_clock);
+    return obs::PhaseProfiler(kPhaseDefs, wants_wall_clock);
 }
 
 /**
@@ -490,10 +503,10 @@ SimEngine::runLegacy(double duration_us)
     const int n = chip.coreCount();
     const double run_start_wall_ns = obs::monotonicWallNs();
 
-    // --- Observability wiring (all optional). The profiler charges
-    // two clock reads per phase, so it keys off the backends that
-    // consume wall time -- a flight-recorder-only attachment stays on
-    // the sim-time-only fast path.
+    // --- Observability wiring (all optional). The profiler reads the
+    // wall clock (on a stride of the per-step phases), so it keys off
+    // the backends that consume wall time -- a flight-recorder-only
+    // attachment stays on the sim-time-only fast path.
     obs::PhaseProfiler profiler =
         makeEngineProfiler(obs_.wantsWallClock());
     EngineMetrics met(obs_.metrics);
@@ -511,7 +524,7 @@ SimEngine::runLegacy(double duration_us)
 
     RunScratch scratch;
     RunResult result;
-    double t0 = profiler.begin();
+    double t0 = profiler.begin(kPhaseSettle);
     prepareRun(scratch, result, duration_us);
     profiler.end(kPhaseSettle, t0);
 
@@ -526,7 +539,7 @@ SimEngine::runLegacy(double duration_us)
         // campaign's effects happen only at edges, so the gate is
         // behavior-preserving.
         if (campaign_ && now_ns >= scratch.nextFaultEdgeNs) {
-            t0 = profiler.begin();
+            t0 = profiler.begin(kPhaseFaults);
             scratch.faultEdges.clear();
             campaign_->collectActivations(now_ns, scratch.faultEdges);
             for (std::size_t f : scratch.faultEdges) {
@@ -567,7 +580,7 @@ SimEngine::runLegacy(double duration_us)
 
         // Slow cadence: refresh DC power draw and temperatures.
         if (step % config_.slowCadence == 0) {
-            t0 = profiler.begin();
+            t0 = profiler.begin(kPhaseThermal);
             const Volts grid_v = chip.pdn().gridV();
             const Watts uncore_w = chip.powerModel().uncoreW(grid_v);
             const Volts grid_floor = std::max(grid_v, Volts{0.6});
@@ -610,7 +623,7 @@ SimEngine::runLegacy(double duration_us)
 
         // Electrical step: DC draw plus transient di/dt events
         // (power-gated cores inject nothing).
-        t0 = profiler.begin();
+        t0 = profiler.begin(kPhasePdn);
         for (int c = 0; c < n; ++c) {
             const auto ci = static_cast<std::size_t>(c);
             const double transient =
@@ -655,7 +668,7 @@ SimEngine::runLegacy(double duration_us)
         // Per-core ATM control loops (cores are independent within a
         // step, so the control advance and the timing race can run as
         // separate passes and be profiled as distinct phases).
-        t0 = profiler.begin();
+        t0 = profiler.begin(kPhaseAtm);
         for (int c = 0; c < n; ++c) {
             chip.core(c).stepControl(Nanoseconds{now_ns},
                                      chip.pdn().coreV(c),
@@ -671,7 +684,7 @@ SimEngine::runLegacy(double duration_us)
         // once and reused for the event record (it used to be raced
         // twice: once for the met/missed verdict and once for the
         // event's deficit field).
-        t0 = profiler.begin();
+        t0 = profiler.begin(kPhaseViolation);
         bool violated = false;
         for (int c = 0; c < n; ++c) {
             const auto ci = static_cast<std::size_t>(c);
@@ -748,7 +761,7 @@ SimEngine::runLegacy(double duration_us)
         // Statistics cadence: fold the frame into the run stats, the
         // metric histograms, and every attached observer.
         if (step % config_.statsCadence == 0) {
-            t0 = profiler.begin();
+            t0 = profiler.begin(kPhaseStats);
             double chip_power =
                 chip.powerModel().uncoreW(chip.pdn().gridV()).value();
             for (int c = 0; c < n; ++c) {
@@ -823,8 +836,10 @@ SimEngine::runLegacy(double duration_us)
     result.steps = step;
     result.wallSeconds =
         (obs::monotonicWallNs() - run_start_wall_ns) * 1e-9;
-    if (profiler.enabled())
-        result.phaseStats = profiler.snapshot();
+    if (profiler.enabled()) {
+        result.phaseStats = profiler.snapshot(result.wallSeconds * 1e9,
+                                              kUnattributedPhase);
+    }
     spans.flush(result.durationNs);
     if (met.steps) {
         met.steps->inc(step);
@@ -871,7 +886,7 @@ SimEngine::runSoa(double duration_us)
 
     RunScratch scratch;
     RunResult result;
-    double t0 = profiler.begin();
+    double t0 = profiler.begin(kPhaseSettle);
     prepareRun(scratch, result, duration_us);
     profiler.end(kPhaseSettle, t0);
 
@@ -903,7 +918,7 @@ SimEngine::runSoa(double duration_us)
         // objects, so dynamic state is stored back first and the full
         // state reloaded after.
         if (campaign_ && now_ns >= scratch.nextFaultEdgeNs) {
-            t0 = profiler.begin();
+            t0 = profiler.begin(kPhaseFaults);
             soa.storeDynamic(chip);
             scratch.faultEdges.clear();
             campaign_->collectActivations(now_ns, scratch.faultEdges);
@@ -949,7 +964,7 @@ SimEngine::runSoa(double duration_us)
 
         // Slow cadence: refresh DC power draw and temperatures.
         if (step % config_.slowCadence == 0) {
-            t0 = profiler.begin();
+            t0 = profiler.begin(kPhaseThermal);
             const Volts grid_v = chip.pdn().gridV();
             const Watts uncore_w = chip.powerModel().uncoreW(grid_v);
             const Volts grid_floor = std::max(grid_v, Volts{0.6});
@@ -1003,7 +1018,7 @@ SimEngine::runSoa(double duration_us)
         // Electrical step. The summed |transient| doubles as the
         // sampled-mode quiet signal: any nonzero di/dt injection this
         // step means the rails are in motion.
-        t0 = profiler.begin();
+        t0 = profiler.begin(kPhasePdn);
         double transient_total = 0.0;
         for (int c = 0; c < n; ++c) {
             const auto ci = static_cast<std::size_t>(c);
@@ -1048,7 +1063,7 @@ SimEngine::runSoa(double duration_us)
         }
 
         // Per-core ATM control loops, as one kernel over the arrays.
-        t0 = profiler.begin();
+        t0 = profiler.begin(kPhaseAtm);
         soa.controlStepAll(now_ns);
         profiler.end(kPhaseAtm, t0);
 
@@ -1057,7 +1072,7 @@ SimEngine::runSoa(double duration_us)
         // reconfigures the chip (quarantine, clock reset) is picked
         // up before the next core's check -- exactly the view the
         // object path has.
-        t0 = profiler.begin();
+        t0 = profiler.begin(kPhaseViolation);
         bool violated = false;
         for (int c = 0; c < n; ++c) {
             const auto ci = static_cast<std::size_t>(c);
@@ -1126,7 +1141,7 @@ SimEngine::runSoa(double duration_us)
 
         // Statistics cadence.
         if (step % config_.statsCadence == 0) {
-            t0 = profiler.begin();
+            t0 = profiler.begin(kPhaseStats);
             double chip_power =
                 chip.powerModel().uncoreW(chip.pdn().gridV()).value();
             for (int c = 0; c < n; ++c) {
@@ -1264,8 +1279,10 @@ SimEngine::runSoa(double duration_us)
     result.steps = step;
     result.wallSeconds =
         (obs::monotonicWallNs() - run_start_wall_ns) * 1e-9;
-    if (profiler.enabled())
-        result.phaseStats = profiler.snapshot();
+    if (profiler.enabled()) {
+        result.phaseStats = profiler.snapshot(result.wallSeconds * 1e9,
+                                              kUnattributedPhase);
+    }
     spans.flush(result.durationNs);
     if (met.steps) {
         met.steps->inc(step);
@@ -1317,7 +1334,7 @@ SimEngine::fastForwardSoa(SoaCtx &ctx, long from_step, long to_step)
         bool wake = false;
 
         if (s % slow == 0) {
-            double t0 = ctx.profiler.begin();
+            double t0 = ctx.profiler.begin(kPhaseThermal);
             const Volts grid_v = chip.pdn().gridV();
             const Watts uncore_w = chip.powerModel().uncoreW(grid_v);
             const Volts grid_floor = std::max(grid_v, Volts{0.6});
@@ -1363,26 +1380,31 @@ SimEngine::fastForwardSoa(SoaCtx &ctx, long from_step, long to_step)
             scratch.prevPkgC = pkg;
             if (!scratch.thermalQuiet)
                 wake = true;
+            ctx.profiler.end(kPhaseThermal, t0);
 
             // Control advance + violation probe at the slow cadence:
             // any control action or developing deficit hands back to
-            // cycle stepping immediately.
+            // cycle stepping immediately. Charged to the same phases
+            // as their cycle-stepped counterparts in runSoa().
+            t0 = ctx.profiler.begin(kPhaseAtm);
             const long before_adjustments = soa.dpllAdjustments();
             soa.controlStepAll(now_ns);
             scratch.prevDpllAdjustments = soa.dpllAdjustments();
             if (soa.dpllAdjustments() != before_adjustments)
                 wake = true;
+            ctx.profiler.end(kPhaseAtm, t0);
+            t0 = ctx.profiler.begin(kPhaseViolation);
             for (int c = 0; c < n && !wake; ++c) {
                 const auto ci = static_cast<std::size_t>(c);
                 if (!soa.gated(ci) && soa.timingDeficitPs(ci) > 0.0)
                     wake = true;
             }
-            ctx.profiler.end(kPhaseThermal, t0);
+            ctx.profiler.end(kPhaseViolation, t0);
             ctx.spans.flush(now_ns);
         }
 
         if (s % stats == 0) {
-            double t0 = ctx.profiler.begin();
+            double t0 = ctx.profiler.begin(kPhaseStats);
             double chip_power =
                 chip.powerModel().uncoreW(chip.pdn().gridV()).value();
             for (int c = 0; c < n; ++c) {

@@ -6,7 +6,8 @@
  * campaigns, mixed core modes, and attached observers. Sampled mode
  * is held to a looser contract (it is approximate by design): the
  * fast-forward must actually engage on quiet runs and the headline
- * tables must land within 1%.
+ * tables must land within 1%. In both fast modes, a profiled run
+ * (metrics attached) must match an unprofiled one bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "chip/chip.h"
 #include "core/safety_monitor.h"
 #include "fault/fault_campaign.h"
+#include "obs/metrics.h"
 #include "sim/sim_engine.h"
 #include "sim/steady_state.h"
 #include "variation/reference_chips.h"
@@ -66,9 +68,12 @@ struct Scenario
 };
 
 /** One engine run of a scenario under the given mode, on a fresh
- *  chip, so the two modes never share mutable state. */
+ *  chip, so the two modes never share mutable state. A non-null
+ *  `metrics` is attached to the engine and the monitor, which turns
+ *  the phase profiler on. */
 RunResult
-runScenario(const Scenario &sc, EngineMode mode, double duration_us)
+runScenario(const Scenario &sc, EngineMode mode, double duration_us,
+            obs::MetricsRegistry *metrics = nullptr)
 {
     chip::Chip chip(variation::makeReferenceChip(0));
     const auto &x264 = workload::findWorkload("x264");
@@ -97,6 +102,10 @@ runScenario(const Scenario &sc, EngineMode mode, double duration_us)
     core::SafetyMonitor monitor(&chip, targets);
     if (sc.monitored)
         engine.setObserver(&monitor);
+    if (metrics != nullptr) {
+        monitor.setObservability({metrics, nullptr, nullptr});
+        engine.setObservability({metrics, nullptr, nullptr});
+    }
     return engine.run(duration_us);
 }
 
@@ -140,6 +149,41 @@ TEST(EngineIdentity, SoaIsDeterministicAcrossRepeats)
     const std::string second =
         digest(runScenario(sc, EngineMode::Soa, 8.0));
     EXPECT_EQ(first, second);
+}
+
+TEST(EngineIdentity, ProfilerLeavesResultsBitwiseUnchanged)
+{
+    // The phase profiler reads only the wall clock, never simulated
+    // state: attaching a registry (profiler on) must not move a bit
+    // of any result, in either fast mode, across the fault campaigns
+    // and the monitored scenarios.
+    for (const EngineMode mode : {EngineMode::Soa, EngineMode::Sampled}) {
+        for (const Scenario &sc : kScenarios) {
+            const std::string label =
+                std::string(sc.name) + "/" + engineModeName(mode);
+            obs::MetricsRegistry metrics;
+            const RunResult plain = runScenario(sc, mode, 8.0);
+            const RunResult profiled =
+                runScenario(sc, mode, 8.0, &metrics);
+            EXPECT_EQ(digest(plain), digest(profiled)) << label;
+            EXPECT_EQ(plain.fastForwardedSteps,
+                      profiled.fastForwardedSteps)
+                << label;
+            EXPECT_TRUE(plain.phaseStats.empty()) << label;
+
+            // Every cycle-stepped step advances the PDN exactly once;
+            // fast-forwarded steps never do.
+            const auto pdn = std::find_if(
+                profiled.phaseStats.begin(), profiled.phaseStats.end(),
+                [](const obs::PhaseStat &p) {
+                    return std::string(p.name) == "engine.pdn_advance";
+                });
+            ASSERT_NE(pdn, profiled.phaseStats.end()) << label;
+            EXPECT_EQ(pdn->calls,
+                      profiled.steps - profiled.fastForwardedSteps)
+                << label;
+        }
+    }
 }
 
 TEST(EngineIdentity, SampledFastForwardsQuietRuns)

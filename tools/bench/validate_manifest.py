@@ -5,7 +5,9 @@ Structural validation of the `atmsim-run-manifest-v2` schema written
 by obs::RunManifest::writeJson (documented in docs/OBSERVABILITY.md):
 required keys, value types, and internal consistency (phase entries,
 metric snapshot entries, counter values, build provenance, fleet
-worker records). Pure stdlib so it runs in CI without extra packages.
+worker records). Engine phase rows must carry `timed <= calls` and,
+with the `engine.unattributed` row, sum to `engine.wall_seconds`.
+Pure stdlib so it runs in CI without extra packages.
 
 Usage: validate_manifest.py <manifest.json> [...]
 Exit status is nonzero when any manifest fails validation.
@@ -43,14 +45,40 @@ def check_type(obj: dict, key: str, types, allow_none: bool = False):
     return value
 
 
+#: Phase row holding engine wall minus the phase estimates; the only
+#: row whose wall_ns may be negative (estimates that overshoot).
+UNATTRIBUTED = "engine.unattributed"
+
+#: Relative slack on "phases sum to engine.wall_seconds" (the rows are
+#: summed per run in nanoseconds, the wall in seconds).
+PHASE_SUM_REL_TOL = 1e-6
+
+
 def validate_phase(phase: dict, where: str) -> None:
     require(isinstance(phase, dict), f"{where}: phase is not an object")
     name = check_type(phase, "name", str)
     require(name != "", f"{where}: empty phase name")
     wall_ns = check_type(phase, "wall_ns", NUMBER)
-    require(wall_ns >= 0, f"{where}: negative wall_ns")
+    require(wall_ns >= 0 or name == UNATTRIBUTED,
+            f"{where}: negative wall_ns")
     calls = check_type(phase, "calls", int)
     require(calls >= 0, f"{where}: negative calls")
+    timed = check_type(phase, "timed", int)
+    require(0 <= timed <= calls,
+            f"{where}: timed ({timed}) outside [0, calls ({calls})]")
+
+
+def validate_phase_sum(phases: list, wall_seconds: float) -> None:
+    names = [p["name"] for p in phases]
+    require(names.count(UNATTRIBUTED) == 1,
+            f"engine.phases needs exactly one '{UNATTRIBUTED}' row")
+    total_ns = sum(p["wall_ns"] for p in phases)
+    wall_ns = wall_seconds * 1e9
+    require(
+        abs(total_ns - wall_ns) <= PHASE_SUM_REL_TOL * max(wall_ns, 1.0),
+        f"engine.phases sum to {total_ns:.0f} ns, engine.wall_seconds "
+        f"is {wall_ns:.0f} ns",
+    )
 
 
 def validate_metric(name: str, entry: dict) -> None:
@@ -280,7 +308,7 @@ def validate_manifest(manifest: dict) -> None:
     runs = check_type(engine, "runs", int)
     steps = check_type(engine, "steps", int)
     require(runs >= 0 and steps >= 0, "negative engine totals")
-    check_type(engine, "wall_seconds", NUMBER)
+    engine_wall = check_type(engine, "wall_seconds", NUMBER)
     check_type(engine, "sim_ns", NUMBER)
     check_type(engine, "steps_per_sec", NUMBER)
     mode = check_type(engine, "mode", str)
@@ -300,9 +328,13 @@ def validate_manifest(manifest: dict) -> None:
     )
     speedup = check_type(engine, "speedup", NUMBER)
     require(speedup >= 1.0, "fast-forward speedup below 1.0")
+    clock_ns = check_type(engine, "profiler_clock_ns", NUMBER)
+    require(clock_ns >= 0, "negative engine.profiler_clock_ns")
     phases = check_type(engine, "phases", list)
     for i, phase in enumerate(phases):
         validate_phase(phase, f"engine.phases[{i}]")
+    if phases:
+        validate_phase_sum(phases, engine_wall)
     if runs > 0:
         require(steps > 0, "engine ran but advanced no steps")
 

@@ -7,7 +7,8 @@ tools/bench/validate_manifest.py). Four views:
 
   summary <m.json>        one-screen run card: provenance, engine
                           totals, fleet coverage, loss accounting
-  phases  <m.json>        engine phase-time breakdown with shares
+  phases  <m.json>        engine phase-time breakdown with shares and
+                          sample counts (calls vs timed calls)
   workers <m.json>        per-worker fleet skew: shards, chips, spans,
                           streamed partials of abandoned shards
   diff    <old> <new>     run-over-run regression diff: throughput,
@@ -210,7 +211,8 @@ def cmd_summary(manifest: dict) -> None:
 
 
 def phases_data(manifest: dict) -> dict:
-    phases = manifest.get("engine", {}).get("phases", [])
+    engine = manifest.get("engine", {})
+    phases = engine.get("phases", [])
     total = sum(p["wall_ns"] for p in phases)
     rows = []
     for phase in sorted(phases, key=lambda p: -p["wall_ns"]):
@@ -220,33 +222,34 @@ def phases_data(manifest: dict) -> dict:
             "share_pct": (100.0 * phase["wall_ns"] / total
                           if total else 0.0),
             "calls": phase["calls"],
+            # Manifests from before stride sampling timed every call.
+            "timed": phase.get("timed", phase["calls"]),
             "ns_per_call": (phase["wall_ns"] / phase["calls"]
                             if phase["calls"] else 0.0),
         })
-    return {"phases": rows, "total_wall_ns": total}
+    return {"phases": rows, "total_wall_ns": total,
+            "profiler_clock_ns": engine.get("profiler_clock_ns", 0.0)}
 
 
 def cmd_phases(manifest: dict) -> None:
-    phases = manifest.get("engine", {}).get("phases", [])
-    if not phases:
+    data = phases_data(manifest)
+    if not data["phases"]:
         print("(no phase data: run without wall-clock observability)")
         return
-    total = sum(p["wall_ns"] for p in phases)
-    rows = []
-    for phase in sorted(phases, key=lambda p: -p["wall_ns"]):
-        share = 100.0 * phase["wall_ns"] / total if total else 0.0
-        per_call = (phase["wall_ns"] / phase["calls"]
-                    if phase["calls"] else 0.0)
-        rows.append([
-            phase["name"],
-            fmt_ms(phase["wall_ns"]),
-            format(share, ".1f"),
-            fmt_num(phase["calls"]),
-            format(per_call, ",.1f"),
-        ])
-    print(table(rows, ["phase", "wall (ms)", "%", "calls",
+    rows = [[
+        row["name"],
+        fmt_ms(row["wall_ns"]),
+        format(row["share_pct"], ".1f"),
+        fmt_num(row["calls"]),
+        fmt_num(row["timed"]),
+        format(row["ns_per_call"], ",.1f"),
+    ] for row in data["phases"]]
+    print(table(rows, ["phase", "wall (ms)", "%", "calls", "timed",
                        "ns/call"]))
-    print(f"total: {fmt_ms(total)} ms across {len(phases)} phases")
+    print(f"total: {fmt_ms(data['total_wall_ns'])} ms across "
+          f"{len(rows)} phases; wall scaled up from the timed calls, "
+          f"{format(data['profiler_clock_ns'], ',.1f')} ns clock read "
+          f"subtracted per timed call")
 
 
 def workers_data(manifest: dict) -> dict:
