@@ -15,6 +15,17 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
+std::uint64_t
+fnv1a(std::string_view text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
 namespace {
 
 inline std::uint64_t

@@ -12,12 +12,17 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 namespace atmsim::util {
 
 /** Stateless SplitMix64 step, used for seeding and stream derivation. */
 [[nodiscard]] std::uint64_t splitMix64(std::uint64_t &state);
+
+/** Stable 64-bit FNV-1a hash of a byte string (std::hash is not
+ *  guaranteed stable across runs or toolchains). */
+[[nodiscard]] std::uint64_t fnv1a(std::string_view text);
 
 /**
  * Small, fast, high-quality PRNG (xoshiro256**) with explicit seeding

@@ -12,18 +12,6 @@ namespace atmsim::variation {
 
 namespace {
 
-/** Stable FNV-1a hash (std::hash is not guaranteed stable). */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 /** Sample an unconstrained CPM segment delay (nominal ps). */
 double
 sampleStep(util::Rng &rng)
@@ -65,7 +53,7 @@ runNoisePs(const CoreSiliconParams &core, int rep)
     // Scrambled van der Corput: any 8 consecutive draws place exactly
     // one sample in each eighth of the noise range, so short repeat
     // campaigns still observe both the benign and the hostile end.
-    util::VanDerCorput seq(fnv1a(core.name));
+    util::VanDerCorput seq(util::fnv1a(core.name));
     return core.idleNoiseFloorPs + core.idleNoiseRangePs * seq.at(rep);
 }
 
@@ -315,7 +303,7 @@ buildCoreFromTargets(const std::string &name, const CoreLimitTargets &targets,
     // Five CPM sites (IFU, ISU, FXU, FPU, LLC); the controlling site
     // has offset 0, the rest carry extra preset protection.
     core.siteOffsets.assign(circuit::kCpmSitesPerCore, 0);
-    util::Rng site_rng = rng.fork(fnv1a(name));
+    util::Rng site_rng = rng.fork(util::fnv1a(name));
     for (std::size_t i = 1; i < core.siteOffsets.size(); ++i)
         core.siteOffsets[i] = 1 + static_cast<int>(site_rng.below(3));
 
