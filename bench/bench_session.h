@@ -27,9 +27,11 @@
  *                       (default: hardware concurrency; n >= 1;
  *                       outputs are identical at every n)
  *   --engine-mode <m>   engine step-loop implementation: soa
- *                       (default), legacy (identity reference), or
- *                       sampled (steady-state fast-forward;
- *                       approximate -- see EXPERIMENTS.md)
+ *                       (default; exact) or sampled (steady-state
+ *                       fast-forward; approximate -- see
+ *                       EXPERIMENTS.md)
+ *
+ * A bad value for one of these flags prints the message and exits 2.
  *
  * The filtered argument list is exposed via argc()/argv() so
  * harnesses that reject unknown arguments keep doing so.
@@ -326,8 +328,8 @@ class BenchSession
             used = 0;
         }
         if (used != text.size() || jobs < 1)
-            util::fatal("--jobs wants an integer >= 1, got '" + text
-                        + "'");
+            badValue("--jobs wants an integer >= 1, got '" + text
+                     + "'");
         return jobs;
     }
 
@@ -336,8 +338,8 @@ class BenchSession
     {
         sim::EngineMode mode = sim::EngineMode::Soa;
         if (!sim::engineModeFromName(text, mode))
-            util::fatal("--engine-mode wants legacy, soa, or sampled,"
-                        " got '" + text + "'");
+            badValue("--engine-mode wants soa or sampled, got '" + text
+                     + "'");
         return mode;
     }
 
@@ -352,9 +354,18 @@ class BenchSession
             used = 0;
         }
         if (used != text.size() || capacity < 1)
-            util::fatal("--flight-recorder wants a per-core capacity"
-                        " >= 1, got '" + text + "'");
+            badValue("--flight-recorder wants a per-core capacity"
+                     " >= 1, got '" + text + "'");
         return capacity;
+    }
+
+    /** A bad shared-flag value is a user error, not a crash: print
+     *  the message and exit with the usage-error status 2. */
+    [[noreturn]] static void
+    badValue(const std::string &message)
+    {
+        std::cerr << "error: " << message << "\n";
+        std::exit(2);
     }
 
     void

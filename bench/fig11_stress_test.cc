@@ -7,7 +7,7 @@
  * differential at their limits.
  *
  * Usage: fig11_stress_test [--seed <n>] [--faults <campaign>]
- *                          [--engine-mode legacy|soa|sampled]
+ *                          [--engine-mode soa|sampled]
  *
  * With --faults, the deployed (limit) configuration of chip 0 is
  * replayed through the detailed engine under the given fault campaign

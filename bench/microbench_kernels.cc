@@ -89,47 +89,6 @@ BM_EngineStep(benchmark::State &state)
 BENCHMARK(BM_EngineStep)->Unit(benchmark::kMicrosecond);
 
 void
-BM_EngineStepLegacy(benchmark::State &state)
-{
-    chip::Chip &chip = referenceChip();
-    chip.clearAssignments();
-    const auto &gcc = workload::findWorkload("gcc");
-    chip.assignWorkload(0, &gcc);
-    // The pre-SoA object-per-core loop; the BM_EngineStep /
-    // BM_EngineStepLegacy pair measures the SoA kernel win on
-    // bitwise-identical work.
-    sim::SimConfig config;
-    config.mode = sim::EngineMode::Legacy;
-    for (auto _ : state) {
-        sim::SimEngine engine(&chip, config);
-        benchmark::DoNotOptimize(engine.run(0.1).durationNs);
-    }
-    state.SetItemsProcessed(state.iterations() * 500); // steps per run
-    chip.clearAssignments();
-}
-BENCHMARK(BM_EngineStepLegacy)->Unit(benchmark::kMicrosecond);
-
-void
-BM_EngineStepSoA(benchmark::State &state)
-{
-    chip::Chip &chip = referenceChip();
-    chip.clearAssignments();
-    const auto &gcc = workload::findWorkload("gcc");
-    chip.assignWorkload(0, &gcc);
-    // Explicitly-SoA run (BM_EngineStep inherits the default mode, so
-    // this one stays meaningful if the default ever moves).
-    sim::SimConfig config;
-    config.mode = sim::EngineMode::Soa;
-    for (auto _ : state) {
-        sim::SimEngine engine(&chip, config);
-        benchmark::DoNotOptimize(engine.run(0.1).durationNs);
-    }
-    state.SetItemsProcessed(state.iterations() * 500); // steps per run
-    chip.clearAssignments();
-}
-BENCHMARK(BM_EngineStepSoA)->Unit(benchmark::kMicrosecond);
-
-void
 BM_EngineStepSampled(benchmark::State &state)
 {
     chip::Chip &chip = referenceChip();
